@@ -231,12 +231,8 @@ class Catalog:
         tupled_rows = [tuple(row) for row in rows]
         for tupled in tupled_rows:
             entry.schema.validate_row(tupled)
-        count = 0
-        for tupled in tupled_rows:
-            entry.heap.append(tupled)
-            count += 1
-        entry.heap.close_writes()
-        if count:
+        entry.heap.extend(tupled_rows)
+        if tupled_rows:
             # Indexes are static (ISAM): rebuild after a batch insert.
             for (table, _column), index in self.indexes.items():
                 if table == name:
@@ -248,7 +244,7 @@ class Catalog:
                 # plans survive; their temp memos are flushed).
                 self.snapshots.publish({name: entry.heap.num_rows})
                 self.bump_version("insert", name)
-        return count
+        return len(tupled_rows)
 
     def record_statistics(self, name: str, stats: object) -> None:
         """Store ANALYZE output for ``name`` (bumps the plan version)."""

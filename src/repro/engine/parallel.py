@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Sequence
 from functools import partial
+from itertools import chain
 
 from repro.engine.aggregate import AggSpec, apply_specs
 from repro.engine.compile import try_compile_scalar
@@ -176,9 +177,9 @@ def parallel_restrict_project(
     shards = run_tasks(
         [partial(work, index) for index in range(nparts)], width=parallelism
     )
-    return Relation.materialize_batches(
+    return Relation.materialize(
         out_schema,
-        (batch for shard in shards for batch in shard),
+        chain.from_iterable(chain.from_iterable(shards)),
         buffer,
         rows_per_page=rows_per_page,
         name=name,
@@ -264,9 +265,9 @@ def parallel_hash_join(
         [partial(probe, index) for index in range(nparts)],
         width=parallelism,
     )
-    return Relation.materialize_batches(
+    return Relation.materialize(
         out_schema,
-        (batch for shard in shards for batch in shard),
+        chain.from_iterable(chain.from_iterable(shards)),
         buffer,
         name=name,
     )
@@ -329,9 +330,7 @@ def parallel_group_aggregate(
         output: list[tuple] = []
         if all_rows or always_emit:
             output = [tuple(apply_specs(all_rows, agg_specs))]
-        return Relation.materialize_batches(
-            out_schema, [output] if output else [], buffer, name=name
-        )
+        return Relation.materialize(out_schema, output, buffer, name=name)
 
     def build(index: int) -> dict[tuple, list[tuple]]:
         groups: dict[tuple, list[tuple]] = {}
@@ -356,9 +355,7 @@ def parallel_group_aggregate(
         key + tuple(apply_specs(rows, agg_specs))
         for key, rows in merged.items()
     ]
-    return Relation.materialize_batches(
-        out_schema, [output] if output else [], buffer, name=name
-    )
+    return Relation.materialize(out_schema, output, buffer, name=name)
 
 
 def parallel_distinct(
@@ -400,6 +397,6 @@ def parallel_distinct(
                 if rows:
                     yield rows
 
-    return Relation.materialize_batches(
-        source.schema, batches(), buffer, name=name
+    return Relation.materialize(
+        source.schema, chain.from_iterable(batches()), buffer, name=name
     )

@@ -98,34 +98,15 @@ class Relation:
         """Write rows into a fresh heap file (charges page writes).
 
         This is the paper's "create a temporary relation" step: building
-        a P-page temp table costs P page writes once flushed.
+        a P-page temp table costs P page writes once flushed.  Both
+        engines write through here (batch operators pass their batches
+        chained).  :meth:`HeapFile.extend` allocates each page only once
+        its first row exists, so the page I/O does not depend on how
+        the rows are grouped.
         """
         capacity = rows_per_page or temp_rows_per_page(len(schema))
         heap = HeapFile(buffer, rows_per_page=capacity, name=name)
         heap.extend(rows)
-        heap.flush()
-        return cls(schema, heap=heap, name=name)
-
-    @classmethod
-    def materialize_batches(
-        cls,
-        schema: RowSchema,
-        batches: Iterable[list[tuple]],
-        buffer: BufferPool,
-        rows_per_page: int | None = None,
-        name: str | None = None,
-    ) -> "Relation":
-        """Materialize from row batches (the vectorized engine's path).
-
-        Produces exactly the pages :meth:`materialize` would for the
-        same row stream — same capacity, same page count, same flush
-        writes — just with one buffer interaction per filled page
-        instead of one per row.
-        """
-        capacity = rows_per_page or temp_rows_per_page(len(schema))
-        heap = HeapFile(buffer, rows_per_page=capacity, name=name)
-        for batch in batches:
-            heap.append_rows(batch)
         heap.flush()
         return cls(schema, heap=heap, name=name)
 

@@ -26,14 +26,21 @@ def sort_key(row: tuple, key_columns: Sequence[int]) -> tuple:
     """Total-order sort key: chosen columns first, whole row as tiebreak.
 
     NULL sorts before every value (an arbitrary but consistent choice),
-    and the wrapper keeps Python from comparing None with ints.
+    and the wrapper keeps Python from comparing None with ints.  Each
+    value is wrapped once; the key columns reuse the row's wrappers.
     """
-    return tuple(_orderable(row[i]) for i in key_columns) + tuple(
-        _orderable(v) for v in row
-    )
+    whole = tuple(map(_orderable, row))
+    return tuple([whole[i] for i in key_columns]) + whole
 
 
 def _orderable(value: object) -> tuple:
+    # Exact-type checks first: they cover nearly every value.  They are
+    # False for bool (a subclass of int), which keeps its own branch.
+    kind = type(value)
+    if kind is int or kind is float:
+        return (1, value, "")
+    if kind is str:
+        return (2, 0, value)
     if value is None:
         return (0, 0, "")
     if isinstance(value, bool):

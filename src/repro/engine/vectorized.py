@@ -9,9 +9,8 @@ output relations, evaluated a batch at a time:
 * each batch is transposed to columns and expressions run as **batch
   kernels** from :mod:`repro.engine.vector_compile`, amortizing
   dispatch over the whole batch instead of paying it per row;
-* outputs are materialized through
-  :meth:`Relation.materialize_batches`, which fills the same pages the
-  row path would, one buffer interaction per page instead of per row.
+* outputs are materialized through :meth:`Relation.materialize`, the
+  same page-filling write path the row operators use.
 
 When an expression has no batch kernel (correlated reference, subquery,
 compilation globally disabled), that one expression falls back to the
@@ -32,6 +31,7 @@ operands through selection vectors; see ``vector_compile``).
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Sequence
+from itertools import chain
 from operator import itemgetter
 
 from repro.engine.aggregate import AggSpec, apply_specs
@@ -155,8 +155,12 @@ def vectorized_restrict_project(
                 out_cols = [fn(cols, batch, sel) for fn in evaluators]
                 yield _rows(out_cols, count)
 
-    return Relation.materialize_batches(
-        out_schema, batches(), buffer, rows_per_page=rows_per_page, name=name
+    return Relation.materialize(
+        out_schema,
+        chain.from_iterable(batches()),
+        buffer,
+        rows_per_page=rows_per_page,
+        name=name,
     )
 
 
@@ -464,7 +468,9 @@ def vectorized_hash_join(
             if out:
                 yield out
 
-    return Relation.materialize_batches(out_schema, batches(), buffer, name=name)
+    return Relation.materialize(
+        out_schema, chain.from_iterable(batches()), buffer, name=name
+    )
 
 
 def vectorized_group_aggregate(
@@ -530,7 +536,9 @@ def vectorized_group_aggregate(
         if out:
             yield out
 
-    return Relation.materialize_batches(out_schema, batches(), buffer, name=name)
+    return Relation.materialize(
+        out_schema, chain.from_iterable(batches()), buffer, name=name
+    )
 
 
 def vectorized_sorted_group_aggregate(
@@ -591,7 +599,9 @@ def vectorized_sorted_group_aggregate(
             assert current_key is not None
             yield [current_key + tuple(apply_specs(group, agg_specs))]
 
-    return Relation.materialize_batches(out_schema, batches(), buffer, name=name)
+    return Relation.materialize(
+        out_schema, chain.from_iterable(batches()), buffer, name=name
+    )
 
 
 def vectorized_distinct(
@@ -612,6 +622,6 @@ def vectorized_distinct(
             if out:
                 yield out
 
-    return Relation.materialize_batches(
-        source.schema, batches(), buffer, name=name
+    return Relation.materialize(
+        source.schema, chain.from_iterable(batches()), buffer, name=name
     )

@@ -9,6 +9,7 @@ scanned sequentially", section 7).
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from itertools import islice
 
 from repro.storage import visibility
 from repro.storage.buffer import BufferPool
@@ -40,7 +41,6 @@ class HeapFile:
         self.name = name
         self.page_ids: list[int] = []
         self._num_rows = 0
-        self._tail_pinned: int | None = None
         self._tail_page = None
         #: Set by the catalog for non-temp tables: scans consult the
         #: active MVCC snapshot (if any) for a row-visibility horizon.
@@ -52,13 +52,10 @@ class HeapFile:
         """The pinned tail page, re-pinning it if the cursor was closed.
 
         While ``_tail_page`` is set the page is pinned and cannot be
-        evicted, so the cached object is authoritative — the batch
-        write path uses it to consult the buffer pool once per touched
-        page rather than once per call.  The row-at-a-time
-        :meth:`append` deliberately does *not* use the cache: it
-        re-finds the tail through the pool on every tuple, which is the
-        row engine's documented per-row cost.  Returns None when the
-        file has no pages yet.
+        evicted, so the cached object is authoritative: the write path
+        consults the buffer pool only when it re-opens a closed cursor
+        or allocates a page, never per row.  Returns None when the file
+        has no pages yet.
         """
         if self._tail_page is not None:
             return self._tail_page
@@ -67,7 +64,6 @@ class HeapFile:
         # pin=True makes lookup-and-pin atomic: a separate pin()
         # after get_page() could race with another thread's evict.
         tail = self.buffer.get_page(self.page_ids[-1], pin=True)
-        self._tail_pinned = tail.page_id
         self._tail_page = tail
         return tail
 
@@ -75,63 +71,57 @@ class HeapFile:
         """Unpin the full tail and open a fresh pinned page."""
         self._unpin_tail()
         page = self.buffer.new_page(self.rows_per_page, pin=True)
-        self._tail_pinned = page.page_id
         self._tail_page = page
         self.page_ids.append(page.page_id)
         return page
 
-    def append(self, row: tuple) -> None:
-        """Append one tuple, allocating a new page when the tail is full.
+    def append_rows(self, rows: Iterable[tuple]) -> None:
+        """Append tuples from any iterable, filling the tail page by page.
 
-        The tail page stays pinned in the buffer pool between appends
-        (as a real write cursor would be), so filling a page costs
-        exactly one eventual write, never an evict/re-read churn.  Each
-        tuple still pays a buffer-pool lookup — the row engine's
-        per-row cost, which :meth:`append_rows` amortizes per page.
+        This is the one write path.  The tail page stays pinned in the
+        buffer pool between rows and between calls (as a real write
+        cursor would be), so filling a page costs exactly one eventual
+        write, never an evict/re-read churn, and no pool lookup per
+        row.  Finish with :meth:`close_writes` or :meth:`flush` like
+        any other writer, or use :meth:`extend`.
+
+        Allocation order is part of the page-I/O contract: the cursor
+        is re-opened, and a new tail page allocated, only *after* the
+        source has produced the first row that goes on it.  A source
+        that scans other pages through the same pool therefore faults
+        and admits its pages in exactly the order a row-at-a-time
+        writer would, so LRU eviction, and with it every page read and
+        write, is unchanged by filling pages in slices.
+
+        If the source raises, the rows it produced before the error
+        are kept and counted, exactly as if they had been appended one
+        by one; the cursor stays open (use :meth:`extend` to release
+        it regardless).
         """
-        if self.page_ids:
-            # pin=True makes lookup-and-pin atomic: a separate pin()
-            # after get_page() could race with another thread's evict.
-            tail = self.buffer.get_page(self.page_ids[-1], pin=True)
-            if self._tail_pinned != tail.page_id:
-                self._unpin_tail()
-                self._tail_pinned = tail.page_id
-            self._tail_page = tail
-            if not tail.is_full:
-                tail.append(row)
-                self._num_rows += 1
-                return
-        tail = self._new_tail()
-        tail.append(row)
-        self._num_rows += 1
-
-    def extend(self, rows: Iterable[tuple]) -> None:
-        """Append many tuples and release the write cursor."""
-        for row in rows:
-            self.append(row)
-        self.close_writes()
-
-    def append_rows(self, rows: list[tuple]) -> None:
-        """Append a batch of tuples, filling pages chunk-wise.
-
-        Page geometry is identical to repeated :meth:`append` — same
-        pages, same eventual writes — but the buffer pool is consulted
-        once per touched page instead of once per row, which is what
-        makes batch materialization cheap for the vectorized engine.
-        The write cursor stays pinned between calls; finish with
-        :meth:`close_writes` or :meth:`flush` like any other writer.
-        """
-        index = 0
-        total = len(rows)
-        while index < total:
+        source = iter(rows)
+        for row in source:
             tail = self._write_cursor()
             if tail is None or tail.is_full:
                 tail = self._new_tail()
-            take = min(tail.capacity - len(tail.rows), total - index)
-            tail.rows.extend(rows[index : index + take])
-            tail.dirty = True
-            self._num_rows += take
-            index += take
+            page_rows = tail.rows
+            before = len(page_rows)
+            try:
+                page_rows.append(row)
+                page_rows.extend(islice(source, tail.capacity - before - 1))
+            finally:
+                tail.dirty = True
+                self._num_rows += len(page_rows) - before
+
+    def extend(self, rows: Iterable[tuple]) -> None:
+        """Append many tuples and release the write cursor.
+
+        The cursor is released even when the row source raises, so a
+        failed materialization leaves no pinned frame behind.
+        """
+        try:
+            self.append_rows(rows)
+        finally:
+            self.close_writes()
 
     def close_writes(self) -> None:
         """Release the pinned write cursor (safe to call repeatedly)."""
@@ -208,10 +198,9 @@ class HeapFile:
             excess -= take
 
     def _unpin_tail(self) -> None:
-        if self._tail_pinned is not None:
-            self.buffer.unpin(self._tail_pinned)
-            self._tail_pinned = None
-        self._tail_page = None
+        if self._tail_page is not None:
+            self.buffer.unpin(self._tail_page.page_id)
+            self._tail_page = None
 
     # -- partitioning ----------------------------------------------------
 

@@ -1,5 +1,6 @@
 """Tests for the (B-1)-way external merge sort, incl. I/O accounting."""
 
+import datetime
 import math
 import random
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro.engine.relation import Relation
 from repro.engine.schema import RowSchema
-from repro.engine.sort import external_sort, sort_cost_model, sort_key
+from repro.engine.sort import _orderable, external_sort, sort_cost_model, sort_key
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import DiskManager
 
@@ -148,3 +149,103 @@ class TestSortProperties:
         source = heap_relation([(v,) for v in values], buffer, rows_per_page=2)
         result = external_sort(source, [0], buffer, unique=True).to_list()
         assert result == [(v,) for v in sorted(set(values))]
+
+
+def reference_orderable(value):
+    """The original ``_orderable``: the isinstance chain for every value."""
+    if value is None:
+        return (0, 0, "")
+    if isinstance(value, bool):
+        return (1, int(value), "")
+    if isinstance(value, (int, float)):
+        return (1, value, "")
+    return (2, 0, str(value))
+
+
+def reference_sort_key(row, key_columns):
+    """The original ``sort_key``: each key column wrapped a second time."""
+    return tuple(reference_orderable(row[i]) for i in key_columns) + tuple(
+        reference_orderable(v) for v in row
+    )
+
+
+def reference_dedup(rows):
+    out = []
+    for row in rows:
+        if not out or row != out[-1]:
+            out.append(row)
+    return out
+
+
+mixed_values = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-5, 5),
+    st.integers(),
+    st.floats(allow_nan=False),
+    st.sampled_from([0.0, 1.0, -1.0, 2.5]),
+    st.text(max_size=4),
+    st.dates(),
+)
+
+
+@st.composite
+def mixed_rows_and_key(draw):
+    width = draw(st.integers(min_value=1, max_value=4))
+    rows = draw(
+        st.lists(
+            st.tuples(*[mixed_values] * width), max_size=60
+        )
+    )
+    key = draw(
+        st.lists(st.integers(min_value=0, max_value=width - 1), max_size=3)
+    )
+    return width, rows, key
+
+
+class TestSortKeyMatchesReference:
+    """The once-per-value key must equal the original formulation.
+
+    Keys are compared by ``repr`` so that ``1``, ``1.0`` and ``True``
+    (equal under ``==``) must also agree in type.
+    """
+
+    @given(value=mixed_values)
+    @settings(max_examples=300, deadline=None)
+    def test_orderable_identical(self, value):
+        # Merge join, grouping, nested iteration and index keys all
+        # call _orderable directly.
+        assert repr(_orderable(value)) == repr(reference_orderable(value))
+
+    def test_orderable_subclasses_take_the_isinstance_path(self):
+        class Small(int):
+            pass
+
+        for value in (True, False, Small(3), datetime.date(2020, 1, 2)):
+            assert repr(_orderable(value)) == repr(reference_orderable(value))
+
+    @given(case=mixed_rows_and_key())
+    @settings(max_examples=200, deadline=None)
+    def test_sort_key_identical(self, case):
+        _width, rows, key = case
+        for row in rows:
+            assert repr(sort_key(row, key)) == repr(reference_sort_key(row, key))
+
+    @given(
+        case=mixed_rows_and_key(),
+        buffer_pages=st.integers(min_value=2, max_value=4),
+        rows_per_page=st.integers(min_value=1, max_value=4),
+        unique=st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_external_sort_order_identical(
+        self, case, buffer_pages, rows_per_page, unique
+    ):
+        width, rows, key = case
+        disk, buffer = make_env(buffer_pages)
+        source = heap_relation(rows, buffer, rows_per_page, ncols=width)
+        result = external_sort(source, key, buffer, unique=unique).to_list()
+        expected = sorted(rows, key=lambda r: reference_sort_key(r, key))
+        if unique:
+            expected = reference_dedup(expected)
+        assert repr(result) == repr(expected)
