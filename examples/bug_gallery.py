@@ -12,7 +12,7 @@ Run with::
 
 from repro.bench.reporting import format_table
 from repro.core.pipeline import Engine
-from repro.optimizer.executor import SingleLevelExecutor
+from repro.optimizer.executor import build_temp
 from repro.workloads.paper_data import (
     KIESSLING_Q2,
     QUERY_Q5,
@@ -57,11 +57,7 @@ def dump_table(catalog, name: str) -> str:
 def show_temp_tables(catalog, engine: Engine, sql: str) -> None:
     transform = engine.transform(sql)
     for definition in transform.setup[transform.built:]:
-        executor = SingleLevelExecutor(catalog, "merge")
-        relation = executor.execute(definition.query)
-        catalog.register_temp(
-            definition.name, relation.heap, executor.output_names(definition.query)
-        )
+        build_temp(catalog, definition, engine.config)
     for definition in transform.setup:
         print(definition.describe())
         print(dump_table(catalog, definition.name))

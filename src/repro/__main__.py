@@ -17,7 +17,7 @@ the session::
     \\load kiessling        load a paper instance (kiessling | operator |
                             duplicates | suppliers)
     \\method M              nested_iteration | transform | auto | cost
-    \\join M                merge | nested (for transformed plans)
+    \\join M                merge | nested | hash (for transformed plans)
     \\explain SELECT ...;   show the NEST-G transformation plan
     \\plan SELECT ...;      show the cost-based planner's estimates
     \\analyze [TABLE]       collect optimizer statistics
@@ -51,6 +51,7 @@ Example session::
 from __future__ import annotations
 
 import sys
+from dataclasses import replace
 
 from repro.api import Database
 from repro.bench.reporting import format_table
@@ -175,10 +176,11 @@ class Shell:
         self.say(f"evaluation method: {argument}")
 
     def _cmd_join(self, argument: str) -> None:
-        if argument not in ("merge", "nested"):
-            self.say("join method must be merge | nested")
+        if argument not in ("merge", "nested", "hash"):
+            self.say("join method must be merge | nested | hash")
             return
-        self.db.engine.join_method = argument
+        engine = self.db.engine
+        engine.config = replace(engine.config, join_method=argument)
         self.say(f"transformed-plan join method: {argument}")
 
     def _cmd_tables(self, _argument: str) -> None:

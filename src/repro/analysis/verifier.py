@@ -585,6 +585,11 @@ def collect_temp_infos(
     return temps
 
 
+#: Rules about how a temp chains into its consumers, as opposed to
+#: what one single-level query needs to execute at all.
+CHAIN_RULES = frozenset({"PV007"})
+
+
 def verify_transform(
     transform,
     catalog: Catalog,

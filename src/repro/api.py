@@ -47,8 +47,9 @@ class Database:
     Args:
         buffer_pages: the buffer pool size ``B`` (the paper's
             main-memory buffer space; default 32).
-        join_method: ``"merge"`` (sort-merge, the paper's choice) or
-            ``"nested"`` for transformed plans.
+        join_method: ``"merge"`` (sort-merge, the paper's choice),
+            ``"nested"`` (nested-loop) or ``"hash"`` (build/probe) for
+            transformed plans.
         ja_algorithm: ``"ja2"`` (the paper's corrected NEST-JA2) or
             ``"kim"`` to reproduce the original buggy NEST-JA.
         dedupe_inner: apply the inner-side duplicate-elimination fix-up
@@ -215,12 +216,14 @@ class Database:
 
         with self.catalog.write_lock(), self.catalog.snapshots.pinned():
             if table is None:
-                analyze_all(self.catalog, parallelism=self.engine.parallelism)
+                analyze_all(
+                    self.catalog, parallelism=self.engine.config.parallelism
+                )
             else:
                 analyze_table(
                     self.catalog,
                     table.upper(),
-                    parallelism=self.engine.parallelism,
+                    parallelism=self.engine.config.parallelism,
                 )
 
     # -- statements ----------------------------------------------------------

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.catalog.catalog import Catalog
+from repro.config import EngineConfig
 from repro.core.classify import catalog_resolver, ensure_transformable
 from repro.core.nest_ja import apply_nest_ja, apply_nest_ja_outer_naive
 from repro.core.nest_ja2 import apply_nest_ja2
@@ -75,12 +76,7 @@ class GeneralTransform:
 def nest_g(
     select: Select,
     catalog: Catalog,
-    ja_algorithm: str = "ja2",
-    dedupe_inner: bool = False,
-    join_method: str = "merge",
-    engine: str = "row",
-    parallelism: int = 1,
-    parallel_threshold: int | None = None,
+    config: EngineConfig = EngineConfig(),
 ) -> GeneralTransform:
     """Transform an arbitrarily nested query to canonical form.
 
@@ -89,28 +85,13 @@ def nest_g(
             (EXISTS/ANY/ALL) must already be rewritten.
         catalog: resolves schemas; type-A blocks are evaluated against
             it (System R behaviour), as are any temp tables they need.
-        ja_algorithm: ``"ja2"`` (the paper's corrected algorithm) or
-            ``"kim"`` (the original, bug-reproducing NEST-JA).
-        dedupe_inner: project uncorrelated IN-subquery results
-            duplicate-free before merging (the DESIGN.md multiset
-            fix-up; off by default for paper fidelity).
-        join_method: join method used when temp tables must be built
-            during transformation (for type-A evaluation).
-        engine: execution engine ("row" or "vectorized") for those
-            eager temp builds.
-        parallelism: intra-query fan-out for the eager temp builds and
-            type-A evaluations (1 = serial), with ``parallel_threshold``
-            the serial-below row-count cutoff (None = engine default).
+        config: ``ja_algorithm`` picks NEST-JA2 or Kim's original
+            (bug-reproducing) NEST-JA, ``dedupe_inner`` the multiset
+            fix-up for uncorrelated IN blocks (DESIGN.md); the
+            execution settings apply to the type-A evaluations and the
+            temps built for them.
     """
-    driver = _NestG(
-        catalog,
-        ja_algorithm,
-        dedupe_inner,
-        join_method,
-        engine,
-        parallelism,
-        parallel_threshold,
-    )
+    driver = _NestG(catalog, config)
     canonical = driver.transform(select, env={}, is_root=True)
     _check_canonical(canonical)
     return GeneralTransform(
@@ -124,25 +105,9 @@ def nest_g(
 
 
 class _NestG:
-    def __init__(
-        self,
-        catalog: Catalog,
-        ja_algorithm: str,
-        dedupe_inner: bool,
-        join_method: str,
-        engine: str = "row",
-        parallelism: int = 1,
-        parallel_threshold: int | None = None,
-    ) -> None:
-        if ja_algorithm not in ("ja2", "kim", "kim-outer"):
-            raise TransformError(f"unknown JA algorithm {ja_algorithm!r}")
+    def __init__(self, catalog: Catalog, config: EngineConfig) -> None:
         self.catalog = catalog
-        self.ja_algorithm = ja_algorithm
-        self.dedupe_inner = dedupe_inner
-        self.join_method = join_method
-        self.engine = engine
-        self.parallelism = parallelism
-        self.parallel_threshold = parallel_threshold
+        self.config = config
         self.setup: list[TempTableDef] = []
         self.trace: list[str] = []
         self.built = 0
@@ -206,7 +171,11 @@ class _NestG:
                     "(no canonical join captures anti-join semantics)"
                 )
             return self._apply_a(block, node, inner)
-        if not correlated and self.dedupe_inner and isinstance(node, InSubquery):
+        if (
+            not correlated
+            and self.config.dedupe_inner
+            and isinstance(node, InSubquery)
+        ):
             temp_name = self.catalog.create_temp_name("NTEMP")
             temp, new_node = dedupe_inner_setup(node, temp_name)
             self.setup.append(temp)
@@ -243,7 +212,7 @@ class _NestG:
                 "type-JA nesting requires a scalar comparison predicate"
             )
         fresh = lambda: self.catalog.create_temp_name("TEMP")
-        if self.ja_algorithm == "ja2":
+        if self.config.ja_algorithm == "ja2":
             result = apply_nest_ja2(
                 inner,
                 has_column,
@@ -251,7 +220,7 @@ class _NestG:
                 outer_tables=inner_env,
                 outer_block=block,
             )
-        elif self.ja_algorithm == "kim-outer":
+        elif self.config.ja_algorithm == "kim-outer":
             result = apply_nest_ja_outer_naive(
                 inner,
                 has_column,
@@ -313,19 +282,12 @@ class _NestG:
         self._build_pending_setup()
         from repro.engine.nested_iteration import NestedIterationExecutor
 
-        return (
-            NestedIterationExecutor(
-                self.catalog,
-                parallelism=self.parallelism,
-                parallel_threshold=self.parallel_threshold,
-            )
-            .execute(inner)
-            .rows
-        )
+        executor = NestedIterationExecutor(self.catalog, self.config)
+        return executor.execute(inner).rows
 
     def _build_pending_setup(self) -> None:
         from repro.errors import ParameterizedPlanError
-        from repro.optimizer.executor import SingleLevelExecutor
+        from repro.optimizer.executor import build_temp
         from repro.sql.ast import Parameter
 
         while self.built < len(self.setup):
@@ -337,19 +299,7 @@ class _NestG:
                     "temp table built during transformation contains a "
                     "bind parameter: " + to_sql(definition.query)
                 )
-            executor = SingleLevelExecutor(
-                self.catalog,
-                self.join_method,
-                engine=self.engine,
-                parallelism=self.parallelism,
-                parallel_threshold=self.parallel_threshold,
-            )
-            relation = executor.execute(definition.query)
-            self.catalog.register_temp(
-                definition.name,
-                relation.heap,
-                executor.output_names(definition.query),
-            )
+            build_temp(self.catalog, definition, self.config)
             self.trace.append(f"built {definition.name} (needed for NEST-A)")
             self.built += 1
 

@@ -58,7 +58,7 @@ from __future__ import annotations
 
 import argparse
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.core.pipeline import Engine
 from repro.difftest.grammar import Case, CaseGenerator
@@ -155,7 +155,7 @@ def run_case(
         page_ios: dict[str, int] = {}
         for engine_name, degree in executors:
             executor = executors[(engine_name, degree)]
-            executor.join_method = join_method
+            executor.config = replace(executor.config, join_method=join_method)
             suffix = "" if engine_name == "compiled" else f"|{engine_name}"
             if degree > 1:
                 suffix += f"|p{degree}"

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from repro.catalog.catalog import Catalog
+from repro.config import EngineConfig
 from repro.engine.aggregate import compute_aggregate
 from repro.engine.compile import try_compile_predicate, try_compile_scalar
 from repro.engine.expression import (
@@ -115,19 +116,19 @@ class NestedIterationExecutor(SubqueryHandler):
     def __init__(
         self,
         catalog: Catalog,
+        config: EngineConfig = EngineConfig(),
         materialize_uncorrelated: bool = True,
         use_indexes: bool = True,
         memoize_correlated: bool = True,
         verify: bool = True,
-        parallelism: int = 1,
-        parallel_threshold: int | None = None,
     ) -> None:
         self.catalog = catalog
         self.materialize_uncorrelated = materialize_uncorrelated
         self.use_indexes = use_indexes
         self.memoize_correlated = memoize_correlated
         self.verify = verify
-        self.parallelism = parallelism
+        self.parallelism = config.parallelism
+        parallel_threshold = config.parallel_threshold
         if parallel_threshold is None:
             from repro.engine.parallel import DEFAULT_PARALLEL_THRESHOLD
 

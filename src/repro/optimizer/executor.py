@@ -41,7 +41,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.catalog.catalog import Catalog
+from repro.catalog.catalog import Catalog, TableEntry
+from repro.config import EngineConfig
 from repro.engine.aggregate import AggSpec
 from repro.engine.operators import (
     group_aggregate,
@@ -87,31 +88,26 @@ class SingleLevelExecutor:
     def __init__(
         self,
         catalog: Catalog,
-        join_method: str = "merge",
+        config: EngineConfig = EngineConfig(),
         verify: bool = True,
-        engine: str = "row",
-        parallelism: int = 1,
-        parallel_threshold: int | None = None,
     ) -> None:
-        if join_method not in ("merge", "nested", "hash"):
-            raise PlanError(f"unknown join method {join_method!r}")
-        if engine not in ("row", "vectorized"):
-            raise PlanError(f"unknown execution engine {engine!r}")
-        if parallelism < 1:
-            raise PlanError(f"parallelism must be >= 1, got {parallelism}")
         self.catalog = catalog
         self.buffer = catalog.buffer
-        self.join_method = join_method
-        self.engine = engine
-        self.parallelism = parallelism
+        self.join_method = config.join_method
+        self.engine = config.engine
+        self.parallelism = config.parallelism
+        parallel_threshold = config.parallel_threshold
         if parallel_threshold is None:
             from repro.engine.parallel import DEFAULT_PARALLEL_THRESHOLD
 
             parallel_threshold = DEFAULT_PARALLEL_THRESHOLD
         self.parallel_threshold = parallel_threshold
+        #: Statically check each query before it runs.  Plans verified
+        #: as a whole at plan time (see EngineConfig.verify) execute
+        #: with it off; direct callers keep it.
         self.verify = verify
         self.steps: list[str] = []
-        if engine == "vectorized":
+        if self.engine == "vectorized":
             from repro.engine.vectorized import (
                 vectorized_distinct,
                 vectorized_group_aggregate,
@@ -136,7 +132,7 @@ class SingleLevelExecutor:
             self._hash_distinct = hash_distinct
             self._sorted_aggregate = group_aggregate
             self._hash_aggregate = hash_group_aggregate
-        if parallelism > 1:
+        if self.parallelism > 1:
             self._bind_parallel_operators()
 
     def _bind_parallel_operators(self) -> None:
@@ -909,3 +905,21 @@ class SingleLevelExecutor:
 
     def _log(self, message: str) -> None:
         self.steps.append(message)
+
+
+def build_temp(
+    catalog: Catalog, definition, config: EngineConfig
+) -> TableEntry:
+    """Materialize one temp-table definition and register it in ``catalog``.
+
+    The single place a :class:`~repro.core.transform.TempTableDef`
+    becomes a table: NEST-G's eager builds, the pipeline, cached-plan
+    replay and batched execution all build through here.  Temps belong
+    to plans that are verified as a whole, so the executor's own
+    check is off.
+    """
+    executor = SingleLevelExecutor(catalog, config, verify=False)
+    relation = executor.execute(definition.query)
+    return catalog.register_temp(
+        definition.name, relation.heap, executor.output_names(definition.query)
+    )

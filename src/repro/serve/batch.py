@@ -37,9 +37,10 @@ from dataclasses import dataclass, replace
 
 from repro.catalog.schema import Column, ColumnType, TableSchema
 from repro.core.pipeline import RunReport
+from repro.core.transform import TempTableDef
 from repro.engine.nested_iteration import QueryResult
 from repro.errors import ReproError
-from repro.optimizer.executor import SingleLevelExecutor
+from repro.optimizer.executor import SingleLevelExecutor, build_temp
 from repro.serve.normalize import rewrite_leaves
 from repro.serve.session import SessionCatalog
 from repro.sql.ast import (
@@ -70,8 +71,8 @@ class BatchPlan:
     Attributes:
         binding_name: catalog-unique name of the binding relation.
         binding_columns: ``("SEQ", "P0", ..)`` — vector layout.
-        setup: ``(temp name, query)`` per definition, in build order;
-            batched definitions carry the rewritten query.
+        setup: the temp definitions in build order; batched ones
+            carry the rewritten query.
         final_query: the set-oriented final query; its first output
             column is the batch sequence used to demultiplex.
         schema_version: catalog schema version the rewrite was derived
@@ -80,7 +81,7 @@ class BatchPlan:
 
     binding_name: str
     binding_columns: tuple[str, ...]
-    setup: tuple[tuple[str, Select], ...]
+    setup: tuple[TempTableDef, ...]
     final_query: Select
     schema_version: int
 
@@ -336,19 +337,16 @@ def build_batch_plan(plan, catalog) -> BatchPlan:
         raise BatchIneligible("statement has no parameters")
     batched = classify_definitions(plan.transform)
     binding_name = catalog.create_temp_name("BIND")
-    setup: list[tuple[str, Select]] = []
+    setup: list[TempTableDef] = []
     for definition in plan.transform.setup:
         if definition.name in batched:
-            setup.append(
-                (
-                    definition.name,
-                    _rewrite_definition(
-                        definition.query, batched, binding_name
-                    ),
-                )
+            definition = replace(
+                definition,
+                query=_rewrite_definition(
+                    definition.query, batched, binding_name
+                ),
             )
-        else:
-            setup.append((definition.name, definition.query))
+        setup.append(definition)
     final_query = _rewrite_final(plan.final_query, batched, binding_name)
     columns = ("SEQ",) + tuple(f"P{i}" for i in range(plan.param_count))
     return BatchPlan(
@@ -405,25 +403,12 @@ def execute_batch_plan(
         # statement itself is configured.  Results are engine-invariant
         # (the difftest legs cross engines), so this is a pure physical
         # choice.
+        config = replace(plan.config, join_method="hash", engine="vectorized")
         try:
-            for name, query in batch_plan.setup:
-                executor = SingleLevelExecutor(
-                    session, "hash", verify=False,
-                    engine="vectorized",
-                    parallelism=plan.parallelism,
-                    parallel_threshold=plan.parallel_threshold,
-                )
-                relation = executor.execute(query)
-                session.register_temp(
-                    name, relation.heap, executor.output_names(query)
-                )
-                steps.append(f"built {name}")
-            final = SingleLevelExecutor(
-                session, "hash", verify=False,
-                engine="vectorized",
-                parallelism=plan.parallelism,
-                parallel_threshold=plan.parallel_threshold,
-            )
+            for definition in batch_plan.setup:
+                build_temp(session, definition, config)
+                steps.append(f"built {definition.name}")
+            final = SingleLevelExecutor(session, config, verify=False)
             relation = final.execute(batch_plan.final_query)
             steps.append("final (batched)")
             rows = relation.to_list()

@@ -1,8 +1,8 @@
 """The LRU plan cache and its invalidation wiring.
 
-Keys are ``(fingerprint, engine_config)`` — the normalized SQL text of
-the literal-parameterized tree plus every engine knob that affects plan
-shape.  Versions are *not* part of the key; each entry records the
+Keys are ``(fingerprint, method, config)`` — the normalized SQL text of
+the literal-parameterized tree, the evaluation method, and the engine's
+:class:`~repro.config.EngineConfig` (every setting, as one value).  Versions are *not* part of the key; each entry records the
 schema version it was built under and a lookup under any other schema
 version is treated as an invalidation (the entry is dropped and
 rebuilt).

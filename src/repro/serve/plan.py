@@ -24,11 +24,11 @@ import threading
 from dataclasses import dataclass, field
 
 from repro.catalog.catalog import Catalog
-from repro.core.nest_g import GeneralTransform, nest_g
-from repro.core.pipeline import Engine, RunReport
-from repro.engine.nested_iteration import NestedIterationExecutor, QueryResult
+from repro.config import EngineConfig
+from repro.core.pipeline import Plan, RunReport, plan_transform, prepare_query
+from repro.engine.nested_iteration import NestedIterationExecutor
 from repro.errors import ParameterizedPlanError, ReproError, TransformError
-from repro.optimizer.executor import SingleLevelExecutor
+from repro.optimizer.executor import build_temp
 from repro.serve.binding import ParamSpec, check_binding, derive_param_specs
 from repro.serve.session import SessionCatalog
 from repro.sql.ast import Parameter, Select, walk
@@ -42,61 +42,31 @@ _TEMP_MEMO_CAP = 8
 class NonCacheablePlan(ReproError):
     """The query cannot be served from a cached plan.
 
-    Raised at plan-build time for shapes whose *rewrite* performs data
-    access (the aggregated ``dedupe_outer`` fix-up materializes a
-    staging temp mid-rewrite) and for ``method="cost"`` (the planner's
-    choice is re-costed per call).  Callers fall back to the full
-    pipeline per execution — correct, just not cached.
+    Raised at plan-build time for ``method="cost"``: the planner's
+    choice is re-costed per call.  Callers run the query uncached per
+    execution — correct, just not cached.
     """
 
 
-#: Engine-configuration component of every cache key.  Two engines with
-#: different settings must never share a plan.
-def engine_config(engine: Engine, method: str) -> tuple:
-    return (
-        method,
-        engine.join_method,
-        engine.engine,
-        engine.parallelism,
-        engine.parallel_threshold,
-        engine.ja_algorithm,
-        engine.dedupe_inner,
-        engine.dedupe_outer,
-        engine.exists_count_mode,
-        engine.quantifier_mode,
-    )
+@dataclass(kw_only=True)
+class CachedPlan(Plan):
+    """A transformed, verified, replayable plan.
 
-
-@dataclass
-class CachedPlan:
-    """A transformed, verified, replayable plan."""
+    Its cache key is ``(fingerprint, method, config)``; the inherited
+    ``config`` is also the engine component of shared-subplan keys.
+    """
 
     fingerprint: str
-    config: tuple
     #: catalog.schema_version when the plan was built; the cache treats
     #: any other schema version as a miss (DDL or stats changed).  Data
     #: changes (inserts) do NOT invalidate: replays re-read the base
     #: tables under a pinned snapshot, so the plan stays valid.
     catalog_version: int
-    kind: str  # "transform" | "nested_iteration"
-    rewritten: Select
     param_specs: list[ParamSpec]
-    join_method: str
-    #: Evaluation style ("row" | "vectorized") baked in at plan time;
-    #: part of the cache key via :func:`engine_config`.
-    engine: str = "row"
-    #: Worker-shard count (and its activation threshold) baked in at
-    #: plan time; also part of the cache key.
-    parallelism: int = 1
-    parallel_threshold: int | None = None
     #: catalog.data_version at build time.  Purely diagnostic — the
     #: cache counts a hit at any other data version as a
     #: "snapshot-pin hit" (the plan outlived an insert).
     data_version: int = 0
-    transform: GeneralTransform | None = None
-    final_query: Select | None = None
-    strip: int = 0
-    verify_trace: list[str] = field(default_factory=list)
     #: Parameter slots the setup temp definitions read (transitively):
     #: temp contents are a pure function of (base data @ version, these
     #: values), so materialized temps are memoized per value sub-vector.
@@ -221,41 +191,24 @@ class CachedPlan:
             ):
                 if self.kind == "nested_iteration":
                     result = NestedIterationExecutor(
-                        session,
-                        parallelism=self.parallelism,
-                        parallel_threshold=self.parallel_threshold,
+                        session, self.config
                     ).execute(self.rewritten)
                     io = session.buffer.stats() - before
                     return RunReport(
                         result=result, io=io, method="cached-nested_iteration"
                     )
                 assert self.transform is not None
-                assert self.final_query is not None
                 try:
                     steps = self._install_temps(
                         session, values, snapshot, leases
                     )
-                    final = SingleLevelExecutor(
-                        session, self.join_method, verify=False,
-                        engine=self.engine,
-                        parallelism=self.parallelism,
-                        parallel_threshold=self.parallel_threshold,
-                    )
-                    relation = final.execute(self.final_query)
-                    steps.append("final")
-                    rows = relation.to_list()
-                    if self.strip:
-                        rows = [row[self.strip:] for row in rows]
-                    result = QueryResult(
-                        columns=final.output_names(self.transform.query),
-                        rows=rows,
-                    )
+                    result = self.run_final(session, steps)
                     io = session.buffer.stats() - before
                     return RunReport(
                         result=result,
                         io=io,
                         method="cached-transform",
-                        join_method=self.join_method,
+                        join_method=self.config.join_method,
                         canonical_sql=to_sql(self.transform.query),
                         steps=steps,
                     )
@@ -319,15 +272,10 @@ class CachedPlan:
         steps = []
         built: list[tuple] = []
         for definition in self.transform.setup:
-            executor = SingleLevelExecutor(
-                session, self.join_method, verify=False, engine=self.engine,
-                parallelism=self.parallelism,
-                parallel_threshold=self.parallel_threshold,
+            entry = build_temp(session, definition, self.config)
+            built.append(
+                (definition.name, entry.heap, entry.schema.column_names)
             )
-            relation = executor.execute(definition.query)
-            columns = executor.output_names(definition.query)
-            session.register_temp(definition.name, relation.heap, columns)
-            built.append((definition.name, relation.heap, columns))
             steps.append(f"built {definition.name}")
         with self._temp_lock:
             if (
@@ -360,13 +308,12 @@ class CachedPlan:
         """
         assert self.transform is not None
         registry = self.registry
-        share_config = self.config[1:]  # drop the method component
         data_version = getattr(snapshot, "data_version", -1)
         steps: list[str] = []
         for definition, spec in zip(self.transform.setup, self.share_specs):
             key = (
                 spec.fingerprint,
-                share_config,
+                self.config,
                 self.catalog_version,
                 data_version,
                 tuple(values[i] for i in spec.param_slots),
@@ -379,16 +326,13 @@ class CachedPlan:
                 )
                 steps.append(f"shared {definition.name}")
                 continue
-            executor = SingleLevelExecutor(
-                session, self.join_method, verify=False, engine=self.engine,
-                parallelism=self.parallelism,
-                parallel_threshold=self.parallel_threshold,
-            )
-            relation = executor.execute(definition.query)
-            columns = executor.output_names(definition.query)
-            session.register_temp(definition.name, relation.heap, columns)
+            table = build_temp(session, definition, self.config)
             entry = registry.publish(
-                key, relation.heap, columns, self, session.data_version
+                key,
+                table.heap,
+                table.schema.column_names,
+                self,
+                session.data_version,
             )
             if entry is not None:
                 session.mark_shared(definition.name)
@@ -398,164 +342,85 @@ class CachedPlan:
 
 
 def build_plan(
-    engine: Engine, select: Select, method: str, fingerprint: str
+    engine,
+    config: EngineConfig,
+    select: Select,
+    method: str,
+    fingerprint: str,
 ) -> CachedPlan:
-    """Run the full pipeline up to (not including) data access.
+    """Plan ``select`` under ``config`` for the cache, up to data access.
+
+    The planning is :func:`~repro.core.pipeline.plan_transform`'s, run
+    in a throwaway session overlay so temps NEST-G builds to evaluate
+    type-A blocks stay private to this build; what only a cached plan
+    needs (parameter contracts, sharing fingerprints) is derived here.
 
     Raises :class:`~repro.errors.ParameterizedPlanError` when the plan
     shape depends on parameter values (callers switch to per-vector
     "custom" plans) and :class:`NonCacheablePlan` for shapes that
     cannot be cached at all.
     """
+    from repro.serve.normalize import user_param_count
+    from repro.serve.sharing import compute_share_specs
+
     if method not in ("transform", "auto", "nested_iteration"):
         raise NonCacheablePlan(
             f"method {method!r} is re-planned per call and cannot be cached"
         )
     catalog = engine.catalog
-    version = catalog.schema_version
-    data_version = catalog.data_version
+    versions = {
+        "catalog_version": catalog.schema_version,
+        "data_version": catalog.data_version,
+    }
     session = SessionCatalog(catalog)
-    # A throwaway engine bound to the session overlay: temps that
-    # NEST-G builds to evaluate type-A blocks stay private to this
-    # plan construction.
-    planner = Engine(
-        session,
-        join_method=engine.join_method,
-        ja_algorithm=engine.ja_algorithm,
-        dedupe_inner=engine.dedupe_inner,
-        dedupe_outer=engine.dedupe_outer,
-        exists_count_mode=engine.exists_count_mode,
-        quantifier_mode=engine.quantifier_mode,
-        verify=engine.verify,
-        engine=engine.engine,
-        parallelism=engine.parallelism,
-        parallel_threshold=engine.parallel_threshold,
-    )
-    config = engine_config(engine, method)
     with catalog.read_lock():
         try:
-            rewritten = planner._prepare(select)
-            if method == "nested_iteration":
-                specs = derive_param_specs(
-                    rewritten, session, _slot_count(rewritten)
-                )
+            rewritten = prepare_query(select, session, config)
+            plan = None
+            if method != "nested_iteration":
+                try:
+                    plan = plan_transform(rewritten, session, config)
+                except ParameterizedPlanError:
+                    # Must reach the caller: the plan shape depends on
+                    # parameter values, so the serving layer plans per
+                    # distinct vector instead ("custom plans").
+                    raise
+                except TransformError:
+                    # Outside the algorithms' reach: under method="auto"
+                    # cache a nested-iteration plan instead.
+                    if method != "auto":
+                        raise
+            specs = derive_param_specs(
+                rewritten, session, user_param_count(rewritten)
+            )
+            if plan is None:
                 return CachedPlan(
-                    fingerprint=fingerprint,
-                    config=config,
-                    catalog_version=version,
-                    data_version=data_version,
-                    kind="nested_iteration",
                     rewritten=rewritten,
+                    config=config,
+                    fingerprint=fingerprint,
                     param_specs=specs,
-                    join_method=engine.join_method,
-                    engine=engine.engine,
-                    parallelism=engine.parallelism,
-                    parallel_threshold=engine.parallel_threshold,
+                    **versions,
                 )
-            try:
-                transform = nest_g(
-                    rewritten,
-                    session,
-                    ja_algorithm=engine.ja_algorithm,
-                    dedupe_inner=engine.dedupe_inner,
-                    join_method=engine.join_method,
-                    engine=engine.engine,
-                    parallelism=engine.parallelism,
-                    parallel_threshold=engine.parallel_threshold,
-                )
-                verify_trace = (
-                    planner._verify_transform(rewritten, transform)
-                    if engine.verify
-                    else []
-                )
-                engine.last_findings = planner.last_findings
-                if (
-                    engine.dedupe_outer
-                    and transform.root_fanout_merge
-                    and (
-                        transform.query.group_by
-                        or transform.query.has_aggregate_select()
-                        or transform.query.distinct
-                    )
-                ):
-                    # The aggregated fix-up materializes a staging temp
-                    # *during* the rewrite — data access at plan time.
-                    raise NonCacheablePlan(
-                        "aggregated dedupe_outer rewrite stages data at "
-                        "plan time"
-                    )
-                final_query, strip = planner._maybe_dedupe_outer(transform)
-                specs = derive_param_specs(
-                    rewritten, session, _slot_count(rewritten)
-                )
-                setup_params = tuple(
+            assert plan.transform is not None
+            setup = plan.transform.setup
+            cache = getattr(engine, "plan_cache", None)
+            return CachedPlan(
+                **vars(plan),
+                fingerprint=fingerprint,
+                param_specs=specs,
+                setup_param_indices=tuple(
                     sorted(
                         {
                             node.index
-                            for definition in transform.setup
+                            for definition in setup
                             for node in walk(definition.query)
                             if isinstance(node, Parameter)
                         }
                     )
-                )
-                from repro.serve.sharing import compute_share_specs
-
-                plan = CachedPlan(
-                    fingerprint=fingerprint,
-                    config=config,
-                    catalog_version=version,
-                    data_version=data_version,
-                    kind="transform",
-                    rewritten=rewritten,
-                    param_specs=specs,
-                    join_method=engine.join_method,
-                    engine=engine.engine,
-                    parallelism=engine.parallelism,
-                    parallel_threshold=engine.parallel_threshold,
-                    transform=transform,
-                    final_query=final_query,
-                    strip=strip,
-                    verify_trace=verify_trace,
-                    setup_param_indices=setup_params,
-                    share_specs=compute_share_specs(transform),
-                )
-                cache = getattr(engine, "plan_cache", None)
-                if cache is not None:
-                    # None when sharing is disabled; an (empty) registry
-                    # defines __len__, so test identity, not truth.
-                    plan.registry = getattr(cache, "sharing", None)
-                return plan
-            except ParameterizedPlanError:
-                # Must reach the caller: the plan shape depends on
-                # parameter values, so the serving layer plans per
-                # distinct vector instead ("custom plans").
-                raise
-            except TransformError:
-                # Outside the algorithms' reach: under method="auto"
-                # cache a nested-iteration plan instead.
-                if method != "auto":
-                    raise
-                specs = derive_param_specs(
-                    rewritten, session, _slot_count(rewritten)
-                )
-                return CachedPlan(
-                    fingerprint=fingerprint,
-                    config=config,
-                    catalog_version=version,
-                    data_version=data_version,
-                    kind="nested_iteration",
-                    rewritten=rewritten,
-                    param_specs=specs,
-                    join_method=engine.join_method,
-                    engine=engine.engine,
-                    parallelism=engine.parallelism,
-                    parallel_threshold=engine.parallel_threshold,
-                )
+                ),
+                share_specs=compute_share_specs(plan.transform),
+                registry=getattr(cache, "sharing", None),
+                **versions,
+            )
         finally:
             session.drop_temp_tables()
-
-
-def _slot_count(select: Select) -> int:
-    from repro.serve.normalize import user_param_count
-
-    return user_param_count(select)

@@ -14,8 +14,8 @@ Three modes, chosen automatically at prepare time:
   as a constant); a small per-vector plan cache is kept instead,
   mirroring the generic-vs-custom plan split in production databases;
 * **fallback** — the query cannot be served from a cached plan at all
-  (see :class:`~repro.serve.plan.NonCacheablePlan`); each execute runs
-  the full pipeline in a private session.
+  (``method="cost"``, see :class:`~repro.serve.plan.NonCacheablePlan`);
+  each execute is an ordinary uncached :meth:`Engine.run`.
 
 Every mode re-checks the catalog's *schema* version per execute and
 re-plans (re-running verification and lint) when it moved — DDL between
@@ -44,7 +44,6 @@ from repro.serve.batch import (
 from repro.serve.binding import check_binding, derive_param_specs
 from repro.serve.normalize import fingerprint, substitute_params, user_param_count
 from repro.serve.plan import CachedPlan, NonCacheablePlan, build_plan
-from repro.serve.session import SessionCatalog
 from repro.sql.ast import Parameter, Select, walk
 from repro.sql.parser import parse
 from repro.storage.locks import make_lock
@@ -78,23 +77,22 @@ class PreparedStatement:
 
     # -- planning ----------------------------------------------------------
 
+    def _build_plan(self, select: Select) -> CachedPlan:
+        return build_plan(
+            self.engine, self.engine.config, select, self.method,
+            self.fingerprint,
+        )
+
     def _derive_specs(self):
         catalog = self.engine.catalog
         with catalog.read_lock():
-            rewritten = prepare_query(
-                self.select,
-                catalog,
-                self.engine.exists_count_mode,
-                self.engine.quantifier_mode,
-            )
+            rewritten = prepare_query(self.select, catalog, self.engine.config)
             self._specs_version = catalog.schema_version
             return derive_param_specs(rewritten, catalog, self.param_count)
 
     def _plan_initial(self) -> str:
         try:
-            self._plan = build_plan(
-                self.engine, self.select, self.method, self.fingerprint
-            )
+            self._plan = self._build_plan(self.select)
             return "generic"
         except ParameterizedPlanError:
             return "custom"
@@ -191,9 +189,7 @@ class PreparedStatement:
             if plan is None or plan.catalog_version != version:
                 if plan is not None:
                     plan.release()
-                self._plan = plan = build_plan(
-                    self.engine, self.select, self.method, self.fingerprint
-                )
+                self._plan = plan = self._build_plan(self.select)
             batch_plan = self._batch_plan_for(plan)
         if batch_plan is None:
             return self._loop_batch(bound)
@@ -248,9 +244,7 @@ class PreparedStatement:
                     plan.release()
                 # Re-plan *and* re-verify: build_plan runs the static
                 # verifier + lint again against the new catalog state.
-                self._plan = plan = build_plan(
-                    self.engine, self.select, self.method, self.fingerprint
-                )
+                self._plan = plan = self._build_plan(self.select)
         return plan.replay(self.engine.catalog, vector)
 
     def _run_custom(
@@ -264,9 +258,7 @@ class PreparedStatement:
                 plan = None
             if plan is None:
                 literal = substitute_params(self.select, vector)
-                plan = build_plan(
-                    self.engine, literal, self.method, self.fingerprint
-                )
+                plan = self._build_plan(literal)
                 while len(self._custom) >= _CUSTOM_PLAN_CAP:
                     _vec, evicted = self._custom.popitem(last=False)
                     evicted.release()
@@ -280,22 +272,8 @@ class PreparedStatement:
     def _run_fallback(self, vector: tuple[object, ...]) -> RunReport:
         from repro.engine.params import bound_params
 
-        catalog = self.engine.catalog
-        session_engine = Engine(
-            SessionCatalog(catalog),
-            join_method=self.engine.join_method,
-            ja_algorithm=self.engine.ja_algorithm,
-            dedupe_inner=self.engine.dedupe_inner,
-            dedupe_outer=self.engine.dedupe_outer,
-            exists_count_mode=self.engine.exists_count_mode,
-            quantifier_mode=self.engine.quantifier_mode,
-            verify=self.engine.verify,
-            engine=self.engine.engine,
-            parallelism=self.engine.parallelism,
-            parallel_threshold=self.engine.parallel_threshold,
-        )
-        with catalog.read_lock(), bound_params(vector):
-            return session_engine.run(self.select, method=self.method)
+        with bound_params(vector):
+            return self.engine.run(self.select, method=self.method)
 
 
 class _Missing:

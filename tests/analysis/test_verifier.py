@@ -245,8 +245,8 @@ class TestExecutorIntegration:
         engine = Engine(catalog, ja_algorithm="kim")
         report = engine.run(KIESSLING_Q2, method="transform")
         assert any("not enforced" in line for line in report.trace)
-        assert engine.last_findings is not None
-        assert "KB001" in engine.last_findings.rules()
+        assert report.findings is not None
+        assert "KB001" in report.findings.rules()
 
     def test_verify_false_disables_the_check(self):
         catalog = load_kiessling_instance()

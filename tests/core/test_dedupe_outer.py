@@ -129,6 +129,35 @@ class TestDedupeOuter:
                 method="transform",
             )
 
+    def test_aggregated_root_served_from_cache(self):
+        """The staging temp is one more plan temp, so the aggregated
+        fix-up is cacheable like any other transformed plan."""
+        from repro import Database, parse
+        from repro.difftest.oracle import SQLiteOracle
+
+        db = Database(dedupe_outer=True)
+        db.create_table("T", ["A", "V"])
+        db.create_table("U", ["B", "W"])
+        db.insert("T", [(1, 5), (1, 6), (2, 7), (3, 0)])
+        db.insert("U", [(1, 0), (1, 1), (2, 0)])
+        sql = (
+            "SELECT A, COUNT(*), SUM(V) FROM T "
+            "WHERE A IN (SELECT B FROM U) GROUP BY A"
+        )
+        first = db.execute_cached(sql, method="transform")
+        second = db.execute_cached(sql, method="transform")
+        assert len(db.plan_cache) == 1
+        assert db.cache_stats().hits == 1
+        assert second.method == "cached-transform"
+        uncached = db.run(sql, method="transform")
+        with SQLiteOracle(db.catalog) as oracle:
+            oracle_rows = oracle.run(parse(sql))
+        want = Counter(uncached.result.rows)
+        assert want == Counter([(1, 2, 11), (2, 1, 7)])
+        assert Counter(first.result.rows) == want
+        assert Counter(second.result.rows) == want
+        assert Counter(oracle_rows) == want
+
     def test_facade_exposes_option(self):
         from repro import Database
 

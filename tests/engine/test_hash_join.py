@@ -241,6 +241,7 @@ class TestHashAggregation:
 
 class TestExecutorIntegration:
     def test_hash_method_agrees_with_merge_on_canonical_join(self):
+        from repro.config import EngineConfig
         from repro.optimizer.executor import SingleLevelExecutor
         from repro.sql.parser import parse
 
@@ -252,13 +253,14 @@ class TestExecutorIntegration:
         query = parse(
             "SELECT L.V, R.W FROM L, R WHERE L.K = R.K AND R.W > 5"
         )
-        merge_result = SingleLevelExecutor(catalog, "merge").execute(query)
-        hash_result = SingleLevelExecutor(catalog, "hash").execute(query)
+        merge_result = SingleLevelExecutor(catalog, EngineConfig(join_method="merge")).execute(query)
+        hash_result = SingleLevelExecutor(catalog, EngineConfig(join_method="hash")).execute(query)
         assert Counter(hash_result.to_list()) == Counter(
             merge_result.to_list()
         )
 
     def test_hash_method_skips_sorts(self):
+        from repro.config import EngineConfig
         from repro.optimizer.executor import SingleLevelExecutor
         from repro.sql.parser import parse
 
@@ -267,7 +269,7 @@ class TestExecutorIntegration:
         catalog.create_table(schema("R", "K"), rows_per_page=4)
         catalog.insert("L", [(3,), (1,), (2,)])
         catalog.insert("R", [(2,), (3,), (4,)])
-        executor = SingleLevelExecutor(catalog, "hash")
+        executor = SingleLevelExecutor(catalog, EngineConfig(join_method="hash"))
         executor.execute(parse("SELECT L.K FROM L, R WHERE L.K = R.K"))
         assert not any(step.startswith("sort") for step in executor.steps)
         assert any(step.startswith("hash join") for step in executor.steps)

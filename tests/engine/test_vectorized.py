@@ -362,14 +362,10 @@ class TestEngineToggle:
             Engine(_catalog_with_nulls(), engine="columnar")
 
     def test_engine_config_separates_cache_keys(self):
-        from repro.serve.plan import engine_config
-
         catalog = _catalog_with_nulls()
         row = Engine(catalog, engine="row")
         vec = Engine(catalog, engine="vectorized")
-        assert engine_config(row, "transform") != engine_config(
-            vec, "transform"
-        )
+        assert row.config != vec.config
 
     @pytest.mark.parametrize("engine", ["row", "vectorized"])
     def test_database_facade_and_prepared_statements(self, engine):

@@ -8,9 +8,9 @@ leave results and page I/O exactly where the serial engine puts them.
 """
 
 from collections import Counter
+from dataclasses import replace
 
 from repro.api import Database
-from repro.serve.plan import engine_config
 
 
 def seed_db(**kwargs):
@@ -36,9 +36,7 @@ class TestPlanCacheKey:
     def test_engine_config_includes_parallelism(self):
         serial = seed_db(parallelism=1)
         parallel = seed_db(parallelism=4, parallel_threshold=0)
-        assert engine_config(serial.engine, "transform") != engine_config(
-            parallel.engine, "transform"
-        )
+        assert serial.engine.config != parallel.engine.config
 
     def test_degree_change_is_a_cache_miss(self):
         db = seed_db(parallelism=1)
@@ -46,8 +44,9 @@ class TestPlanCacheKey:
         assert len(db.plan_cache) == 1
         # Reconfigure the live engine: the next lookup must not reuse
         # the serial plan.
-        db.engine.parallelism = 4
-        db.engine.parallel_threshold = 0
+        db.engine.config = replace(
+            db.engine.config, parallelism=4, parallel_threshold=0
+        )
         db.execute_cached(JA_SQL)
         assert len(db.plan_cache) == 2
 

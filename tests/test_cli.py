@@ -47,6 +47,25 @@ class TestShellCommands:
         assert "join method: nested" in out
         assert "join method must be" in out
 
+    def test_join_hash(self):
+        out = io.StringIO()
+        shell = Shell(out=out)
+        for line in (
+            "\\load kiessling",
+            "\\join hash",
+            "\\method transform",
+            "SELECT PNUM FROM PARTS WHERE QOH = (SELECT COUNT(SHIPDATE) "
+            "FROM SUPPLY WHERE SUPPLY.PNUM = PARTS.PNUM "
+            "AND SHIPDATE < '1980-01-01');",
+        ):
+            shell.handle(line)
+        text = out.getvalue()
+        assert shell.db.engine.config.join_method == "hash"
+        assert "join method: hash" in text
+        assert "error" not in text
+        assert "8" in text and "10" in text
+        assert "2 row(s)" in text
+
     def test_io_and_reset(self):
         _, out = run_session(["\\io", "\\reset", "\\quit"])
         assert "page I/Os" in out
