@@ -244,6 +244,52 @@ def _compare_maker(op: str) -> Callable[[object, object], object]:
     return compare
 
 
+#: Exact types whose values compare with Python's operators exactly as
+#: :func:`~repro.engine.expression.compare_values` compares them.
+_PLAIN_TYPES = frozenset({int, float, str})
+_NUMBER_KINDS = frozenset({int, float})
+_STRING_KINDS = frozenset({str})
+
+
+def _literal_comparison(
+    expr: Comparison,
+    left: CompiledFn,
+    right: CompiledFn,
+    compare: Callable[[object, object], object],
+) -> CompiledFn | None:
+    """A comparison against an int, float or str literal, or None.
+
+    The closure tests the other side's exact type once: a value of the
+    literal's class compares with the bound operator; anything else
+    (NULL, bool, the wrong class) goes through ``compare`` unchanged,
+    so NULL and type-mismatch results stay the interpreter's.
+    """
+    py_op = _CMP_OPS[expr.op]
+    if isinstance(expr.right, Literal) and type(expr.right.value) in _PLAIN_TYPES:
+        literal = expr.right.value
+        kinds = _STRING_KINDS if type(literal) is str else _NUMBER_KINDS
+
+        def versus_literal(row, outer):
+            value = left(row, outer)
+            if type(value) in kinds:
+                return py_op(value, literal)
+            return compare(value, literal)
+
+        return versus_literal
+    if isinstance(expr.left, Literal) and type(expr.left.value) in _PLAIN_TYPES:
+        literal = expr.left.value
+        kinds = _STRING_KINDS if type(literal) is str else _NUMBER_KINDS
+
+        def literal_versus(row, outer):
+            value = right(row, outer)
+            if type(value) in kinds:
+                return py_op(literal, value)
+            return compare(literal, value)
+
+        return literal_versus
+    return None
+
+
 def compile_predicate(
     expr: Expr, schemas: RowSchema | Sequence[RowSchema]
 ) -> CompiledFn:
@@ -300,12 +346,18 @@ def _predicate(expr: Expr, chain: tuple[RowSchema, ...]) -> CompiledFn:
             def null_safe(row, outer):
                 l = left(row, outer)
                 r = right(row, outer)
+                kind = type(l)
+                if kind is type(r) and kind in _PLAIN_TYPES:
+                    return l == r
                 if l is None or r is None:
                     return l is None and r is None
                 return equal(l, r) is True
 
             return null_safe
         compare = _compare_maker(expr.op)
+        literal_side = _literal_comparison(expr, left, right, compare)
+        if literal_side is not None:
+            return literal_side
         return lambda row, outer: compare(left(row, outer), right(row, outer))
     if isinstance(expr, IsNull):
         operand = _scalar(expr.operand, chain)

@@ -39,7 +39,7 @@ from repro.engine.expression import (
 )
 from repro.engine.relation import Relation
 from repro.engine.schema import RowSchema
-from repro.engine.sort import _orderable
+from repro.engine.sort import _orderable, sort_key
 from repro.errors import BindError, CardinalityError, ExecutionError
 from repro.sql.analysis import is_correlated, outer_references
 from repro.sql.ast import (
@@ -69,7 +69,7 @@ class QueryResult:
         return [row[index] for row in self.rows]
 
     def sorted_rows(self) -> list[tuple]:
-        return sorted(self.rows, key=lambda r: tuple(_orderable(v) for v in r))
+        return sorted(self.rows, key=lambda r: sort_key(r, ()))
 
     def __len__(self) -> int:
         return len(self.rows)

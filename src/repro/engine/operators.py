@@ -33,7 +33,8 @@ merge-based counterparts require.
 from __future__ import annotations
 
 import bisect
-from collections.abc import Callable, Iterator, Sequence
+import operator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from repro.catalog.catalog import TableEntry
 from repro.engine.aggregate import AggSpec, apply_specs
@@ -41,7 +42,7 @@ from repro.engine.compile import try_compile_predicate, try_compile_scalar
 from repro.engine.expression import EvalContext, eval_predicate, eval_scalar
 from repro.engine.relation import Relation
 from repro.engine.schema import RowSchema
-from repro.engine.sort import _orderable
+from repro.engine.sort import NATIVE_TYPES, _orderable, native_class, sort_key
 from repro.errors import ExecutionError
 from repro.sql.ast import Expr
 from repro.storage.buffer import BufferPool
@@ -215,6 +216,66 @@ def merge_join(
     return Relation.materialize(out_schema, generate, buffer, name=name)
 
 
+class _KeyOrder:
+    """The order of one merge's keys, held as tuples of raw values.
+
+    For values of the native-order types (see :data:`NATIVE_TYPES`) raw
+    ``==`` agrees with ``_orderable`` equality, and raw ``<`` agrees
+    wherever it does not raise; it raises only across classes
+    (``None < 1``), and then the ``_orderable`` keys decide that one
+    comparison.  The first key holding any other type (an ANY column may
+    hold a ``datetime.date`` or a ``Decimal``) switches the merge to
+    ``_orderable`` keys for good; every key compared before it was
+    native, so the outcomes so far stand.
+    """
+
+    __slots__ = ("native",)
+
+    def __init__(self) -> None:
+        self.native = True
+
+    def keyed(
+        self, rows: Iterable[tuple], columns: list[int], keep_nulls: bool
+    ) -> Iterator[tuple[tuple | None, tuple]]:
+        """``(key, row)`` per row; the key is None where it holds a NULL
+        and ``keep_nulls`` is False."""
+        key_of = _key_getter(columns)
+        for row in rows:
+            key = key_of(row)
+            if self.native and not NATIVE_TYPES.issuperset(map(type, key)):
+                self.native = False
+            # ``in`` tests with ``==``, which is ``is`` for the native types.
+            if not keep_nulls and (
+                None in key if self.native else any(v is None for v in key)
+            ):
+                yield None, row
+            else:
+                yield key, row
+
+    def less(self, left: tuple, right: tuple) -> bool:
+        if self.native:
+            try:
+                return left < right
+            except TypeError:
+                pass
+        return sort_key(left, ()) < sort_key(right, ())
+
+    def equal(self, left: tuple, right: tuple) -> bool:
+        if self.native:
+            return left == right
+        return sort_key(left, ()) == sort_key(right, ())
+
+
+def _key_getter(columns: list[int]) -> Callable[[tuple], tuple]:
+    """The key-column values of a row, always as a tuple."""
+    if len(columns) == 1:
+        (column,) = columns
+        return lambda row: (row[column],)
+    if not columns:
+        return lambda row: ()
+    return operator.itemgetter(*columns)
+
+
 def _merge_equi_join(
     left: Relation,
     right: Relation,
@@ -225,29 +286,31 @@ def _merge_equi_join(
     residual: Callable[[tuple], object] | None = None,
 ) -> Iterator[tuple]:
     right_nulls = (None,) * len(right.schema)
-    right_groups = _group_iterator(iter(right), right_key, keep_nulls=null_safe)
+    order = _KeyOrder()
+    right_groups = _group_iterator(iter(right), right_key, null_safe, order)
     current_key: tuple | None = None
     current_group: list[tuple] = []
     exhausted = False
 
     def advance_right_to(key: tuple) -> None:
         nonlocal current_key, current_group, exhausted
-        while not exhausted and (current_key is None or current_key < key):
+        while not exhausted and (
+            current_key is None or order.less(current_key, key)
+        ):
             try:
                 current_key, current_group = next(right_groups)
             except StopIteration:
                 exhausted = True
                 current_group = []
 
-    for left_row in left:
-        if not null_safe and any(left_row[i] is None for i in left_key):
+    for key, left_row in order.keyed(left, left_key, null_safe):
+        if key is None:
             if mode == "left":
                 yield left_row + right_nulls
             continue
-        key = tuple(_orderable(left_row[i]) for i in left_key)
         advance_right_to(key)
         matched = False
-        if not exhausted and current_key == key:
+        if not exhausted and order.equal(current_key, key):
             for right_row in current_group:
                 combined = left_row + right_row
                 if residual is not None and residual(combined) is not True:
@@ -259,21 +322,24 @@ def _merge_equi_join(
 
 
 def _group_iterator(
-    rows: Iterator[tuple], key_columns: list[int], keep_nulls: bool = False
+    rows: Iterator[tuple], key_columns: list[int], keep_nulls: bool, order: _KeyOrder
 ) -> Iterator[tuple[tuple, list[tuple]]]:
     """Yield ``(key, rows)`` groups from a key-sorted stream.
 
-    Rows whose key contains NULL are dropped unless ``keep_nulls``: a
-    NULL never equi-joins, but it does null-safe-join (NULLs sort first,
-    so a NULL group streams out ahead of every value group).
+    Keys are raw value tuples compared under ``order`` (shared with the
+    other input of a merge join).  Rows whose key contains NULL are
+    dropped unless ``keep_nulls``: a NULL never equi-joins, but it does
+    null-safe-join (NULLs sort first, so a NULL group streams out ahead
+    of every value group).
     """
     current_key: tuple | None = None
     group: list[tuple] = []
-    for row in rows:
-        if not keep_nulls and any(row[i] is None for i in key_columns):
+    for key, row in order.keyed(rows, key_columns, keep_nulls):
+        if key is None:
             continue
-        key = tuple(_orderable(row[i]) for i in key_columns)
-        if key != current_key:
+        if current_key is None or not (
+            key == current_key if order.native else order.equal(key, current_key)
+        ):
             if current_key is not None:
                 yield current_key, group
             current_key = key
@@ -295,7 +361,12 @@ def _merge_theta_join(
     right_nulls = (None,) * len(right.schema)
     # One sequential read of the right input; kept sorted in memory.
     right_rows = [row for row in right if row[right_key] is not None]
-    right_keys = [_orderable(row[right_key]) for row in right_rows]
+    right_values = [row[right_key] for row in right_rows]
+    # A probe value of the right values' one native class bisects them
+    # raw; any other probe (or a mixed right side) bisects the
+    # ``_orderable`` keys, built on first use.
+    right_class = native_class(set(map(type, right_values)))
+    right_keys: list | None = None
 
     for left_row in left:
         value = left_row[left_key]
@@ -303,8 +374,12 @@ def _merge_theta_join(
             if mode == "left":
                 yield left_row + right_nulls
             continue
-        key = _orderable(value)
-        matches = _theta_range(right_rows, right_keys, key, op)
+        if right_class is not None and type(value) in right_class:
+            matches = _theta_range(right_rows, right_values, value, op)
+        else:
+            if right_keys is None:
+                right_keys = [_orderable(v) for v in right_values]
+            matches = _theta_range(right_rows, right_keys, _orderable(value), op)
         matched = False
         for right_row in matches:
             combined = left_row + right_row

@@ -10,12 +10,17 @@ touched flows through the buffer pool so the measured I/O can be
 compared against the model's ``2·P·log`` term.  An optional
 ``unique=True`` removes duplicate rows while sorting — the paper's
 "sorting it and removing duplicates" step in building ``Rt2``/``Rt3``.
+
+Order is defined once, by :func:`_orderable`.  Where a run's values
+make it provably the same order, the sort compares the raw values with
+a C-level key instead (see DESIGN.md, "Native sort order").
 """
 
 from __future__ import annotations
 
 import heapq
-from collections.abc import Iterator, Sequence
+import operator
+from collections.abc import Callable, Iterator, Sequence
 
 from repro.engine.relation import Relation, temp_rows_per_page
 from repro.storage.buffer import BufferPool
@@ -50,6 +55,38 @@ def _orderable(value: object) -> tuple:
     return (2, 0, str(value))
 
 
+#: The native-order classes.  Values of one class compare with ``==``
+#: exactly as their ``_orderable`` keys do (``1 == 1.0 == True``), and
+#: with ``<`` wherever ``<`` does not raise; across classes ``<`` raises
+#: (``None < 1``, ``1 < "a"``).  Exact types only: subclasses, dates and
+#: Decimals order differently under ``_orderable``.
+_NUMBER_TYPES = frozenset({int, float, bool})
+_NATIVE_CLASSES = (_NUMBER_TYPES, frozenset({str}), frozenset({type(None)}))
+NATIVE_TYPES = frozenset().union(*_NATIVE_CLASSES)
+
+
+def native_class(types: set[type]) -> frozenset[type] | None:
+    """The native-order class holding every type in ``types``, if any."""
+    for native in _NATIVE_CLASSES:
+        if types <= native:
+            return native
+    return None
+
+
+def _native_key(
+    key_columns: Sequence[int], width: int
+) -> Callable[[tuple], object] | None:
+    """The raw-value counterpart of :func:`sort_key` (None: the row itself).
+
+    A row of one column with no key columns is already its own key, and
+    ``itemgetter`` of one index would return a bare value, which cannot
+    stand in for a tuple (``None < None`` raises; ``(None,) < (None,)``
+    does not).
+    """
+    columns = (*key_columns, *range(width))
+    return operator.itemgetter(*columns) if len(columns) > 1 else None
+
+
 def external_sort(
     source: Relation,
     key_columns: Sequence[int],
@@ -74,28 +111,56 @@ def external_sort(
     )
     run_rows = max(1, buffer.capacity * rows_per_page)
     key = list(key_columns)
+    width = len(source.schema)
 
-    runs = _form_runs(source, key, run_rows, rows_per_page, buffer, unique)
-    result_heap = _merge_runs(runs, key, rows_per_page, buffer, unique, name)
+    def wrapped(row: tuple) -> tuple:
+        return sort_key(row, key)
+
+    native = _native_key(key, width)
+    runs, all_native = _form_runs(
+        source, wrapped, native, width, run_rows, rows_per_page, buffer, unique
+    )
+    merge_key = native if all_native else wrapped
+    result_heap = _merge_runs(runs, merge_key, rows_per_page, buffer, unique, name)
     return Relation(source.schema, heap=result_heap, name=name)
 
 
 def _form_runs(
     source: Relation,
-    key: list[int],
+    wrapped: Callable[[tuple], tuple],
+    native: Callable[[tuple], object] | None,
+    width: int,
     run_rows: int,
     rows_per_page: int,
     buffer: BufferPool,
     unique: bool,
-) -> list[HeapFile]:
-    """Scan the input, producing sorted runs of at most ``run_rows`` rows."""
+) -> tuple[list[HeapFile], bool]:
+    """Scan the input, producing sorted runs of at most ``run_rows`` rows.
+
+    Each run sorts with the ``native`` key when each of its columns holds
+    one native-order class, else with ``wrapped``; both give the same
+    permutation.  Also returns whether the union of the runs' column
+    types is still one class per column, so the merge may compare the
+    runs' rows natively too.
+    """
     runs: list[HeapFile] = []
     chunk: list[tuple] = []
+    seen: list[set[type]] | None = [set() for _ in range(width)]
 
     def emit() -> None:
+        nonlocal seen
         if not chunk:
             return
-        chunk.sort(key=lambda row: sort_key(row, key))
+        types = _column_types(chunk, width)
+        if types is not None and all(map(native_class, types)):
+            chunk.sort(key=native)
+        else:
+            chunk.sort(key=wrapped)
+        if types is None:
+            seen = None
+        elif seen is not None:
+            for union, column in zip(seen, types):
+                union |= column
         rows: Iterator[tuple] | list[tuple] = chunk
         if unique:
             rows = _dedup_sorted(iter(chunk))
@@ -110,12 +175,21 @@ def _form_runs(
         if len(chunk) >= run_rows:
             emit()
     emit()
-    return runs
+    return runs, seen is not None and all(map(native_class, seen))
+
+
+def _column_types(chunk: list[tuple], width: int) -> list[set[type]] | None:
+    """Each column's set of value types; None if a row is not ``width`` wide."""
+    try:
+        types = [set(map(type, column)) for column in zip(*chunk, strict=True)]
+    except ValueError:
+        return None
+    return types if len(types) == width else None
 
 
 def _merge_runs(
     runs: list[HeapFile],
-    key: list[int],
+    key: Callable[[tuple], object] | None,
     rows_per_page: int,
     buffer: BufferPool,
     unique: bool,
@@ -134,10 +208,7 @@ def _merge_runs(
             if len(group) == 1:
                 next_runs.append(group[0])
                 continue
-            merged_iter = heapq.merge(
-                *(run.scan() for run in group),
-                key=lambda row: sort_key(row, key),
-            )
+            merged_iter = heapq.merge(*(run.scan() for run in group), key=key)
             rows: Iterator[tuple] = merged_iter
             if unique:
                 rows = _dedup_sorted(rows)
